@@ -216,6 +216,22 @@ async def _client_loop(client, trace: Trace, kinds: List[OpKind],
     await asyncio.gather(*tasks)
 
 
+async def _await_links(clients: List[Any]) -> None:
+    """Wait until every client holds a link to every server.
+
+    Bounded by three of the slowest client's maximum backoff (a jittered
+    re-dial sleeps at most 1.5x that), so a client whose server stays
+    down -- or that does not reconnect at all -- costs a short pause,
+    never a hang.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 3.0 * max(c.backoff_max for c in clients)
+    while loop.time() < deadline:
+        if all(c.stats()["connected"] == len(c.servers) for c in clients):
+            return
+        await asyncio.sleep(0.02)
+
+
 def _snapshot_sizes(snapshot_dir: Optional[str]) -> Dict[str, int]:
     """On-disk bytes per node snapshot (empty when nothing persisted)."""
     if snapshot_dir is None or not os.path.isdir(snapshot_dir):
@@ -400,6 +416,12 @@ async def run_soak(algorithm: str = "bsr", f: int = 1,
                 ts_log.close()
         if getattr(cluster, "chaos_plan", None) is not None:
             cluster.chaos_plan.heal()
+        # Every schedule ends with its victims restarted or healed, but a
+        # client may still sit in its re-dial backoff when the last
+        # operation returns.  Give the reconnect supervisors a bounded
+        # window to finish, so the reported counters show the recovery
+        # instead of racing the final backoff sleep.
+        await _await_links([writer] + readers)
 
         if keys > 1:
             safety = check_safety_per_register(trace,

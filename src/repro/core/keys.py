@@ -1,7 +1,6 @@
 """Key-name validation for multi-register keyspaces.
 
-Every layer that materialises per-key state on first touch (the
-:class:`~repro.core.namespace.NamespacedServer` wrapper, the sharded
+The layer that materialises per-key state on first touch (the
 :class:`~repro.sharding.table.RegisterTable`) validates the key *before*
 instantiating anything.  Without this, any authenticated-but-buggy (or
 Byzantine) client could exhaust a server's memory by spraying messages

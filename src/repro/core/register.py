@@ -23,26 +23,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import Behavior, make_behavior
 from repro.core.processes import ByzantineServerProcess, ClientProcess, ServerProcess
-from repro.core.namespace import (
-    DEFAULT_REGISTER,
-    NamespacedOperation,
-    NamespacedServer,
-)
+from repro.core.keys import MAX_KEY_LENGTH
+from repro.core.namespace import DEFAULT_REGISTER, NamespacedOperation
 from repro.errors import ConfigurationError
-from repro.protocols import OpContext, ServerContext, get_spec, names
+from repro.protocols import OpContext, ServerContext, get_spec
 from repro.sharding import KeyspaceConfig, RegisterTable
 from repro.sim.delays import DelayModel
 from repro.sim.simulator import Simulator
 from repro.sim.trace import OperationRecord, Trace
 from repro.types import ProcessId, reader_id, server_id, writer_id
-
-
-def __getattr__(name: str):
-    # Kept for callers that still import the tuple of algorithm names;
-    # computed lazily so it always reflects the live registry.
-    if name == "ALGORITHMS":
-        return names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -157,17 +146,12 @@ class RegisterSystem:
             if namespaced:
                 factory = (lambda name, pid=pid:
                            self._make_server_protocol(pid, register=name))
-                if keyspace is not None:
-                    protocol = RegisterTable(
-                        pid, factory, behavior=self.byzantine.get(pid),
-                        max_resident=keyspace.max_resident,
-                        max_key_len=keyspace.max_key_len,
-                    )
-                else:
-                    protocol = NamespacedServer(
-                        pid, factory=factory,
-                        behavior=self.byzantine.get(pid),
-                    )
+                protocol = RegisterTable(
+                    pid, factory, behavior=self.byzantine.get(pid),
+                    max_resident=keyspace.max_resident if keyspace else None,
+                    max_key_len=(keyspace.max_key_len if keyspace
+                                 else MAX_KEY_LENGTH),
+                )
                 process = ServerProcess(pid, protocol)
             else:
                 protocol = self._make_server_protocol(pid)

@@ -1,14 +1,11 @@
 """Lazy per-key register table: bounded-memory server state for a keyspace.
 
-The namespaced wrapper of :mod:`repro.core.namespace` materialises one
-protocol state machine per register name and keeps it forever -- fine for
-a handful of named registers, fatal for a keyspace of millions where most
-keys are cold at any instant.  :class:`RegisterTable` is the production
-replacement:
+:class:`RegisterTable` is the one multi-register server host: it routes
+the :class:`~repro.core.namespace.NamespacedMessage` traffic of every
+namespaced or sharded deployment to per-key protocol state machines.
 
 * **Lazy**: per-key state (tag, value, history -- the protocol instance)
-  is created on first touch, from the same ``factory(name)`` contract the
-  namespaced wrapper uses.
+  is created on first touch, from a ``factory(name)``.
 * **Validated**: the key name is checked (:mod:`repro.core.keys`) before
   anything is allocated, so garbage names cannot exhaust memory.
 * **Bounded**: at most ``max_resident`` keys hold a live protocol
@@ -22,16 +19,15 @@ replacement:
   which the algorithms already tolerate).
 
 Archived records are two orders of magnitude smaller than live state
-machines (bytes of JSON vs objects + dict overhead), which is what keeps
-a million-key node affordable; bound each key's history (``max_history``)
-to bound the archive too.
+machines (codec-v2 bytes vs objects + dict overhead), which is what
+keeps a million-key node affordable; bound each key's history
+(``max_history``) to bound the archive too.
 
 The table speaks the exact protocol surface the runtimes and the
-simulator expect from a server (``handle(sender, message) -> envelopes``)
-and the compatibility surface of the namespaced wrapper (``registers``,
-``register_server``, ``storage_bytes``), so it drops into
-:class:`~repro.runtime.node.RegisterServerNode`, the process-per-node
-deployment and the simulator unchanged.
+simulator expect from a server (``handle(sender, message) -> envelopes``),
+plus ``registers``, ``register_server`` and ``storage_bytes``, so it
+drops into :class:`~repro.runtime.node.RegisterServerNode`, the
+process-per-node deployment and the simulator unchanged.
 """
 
 from __future__ import annotations
@@ -49,9 +45,9 @@ class RegisterTable:
     """Route namespaced messages to bounded, lazily created per-key state.
 
     ``factory(key)`` builds a fresh per-key server protocol; ``behavior``
-    (optional) is applied per key, exactly as in the namespaced wrapper.
+    (optional) is the Byzantine strategy applied to every per-key server.
     ``max_resident`` caps live per-key state machines (``None`` =
-    unbounded, i.e. the legacy behaviour plus validation); ``max_key_len``
+    unbounded); ``max_key_len``
     tightens the global key-length bound per deployment.
 
     Metrics land in ``registry`` when one is bound (the node's shared

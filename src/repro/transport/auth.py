@@ -8,17 +8,14 @@ every verifier knows every process's key (a symmetric stand-in for a PKI --
 adequate because the model's adversary forges *senders*, not arbitrary
 third-party messages).
 
-Two envelope shapes share the wire:
+Every frame on the wire is one envelope::
 
-* **single** -- ``name_len(2) | sender | sig(32) | payload``: one MAC per
-  payload, the v1 format every release has spoken.
-* **batch** -- ``0xFFFF | name_len(2) | sender | sig(32) | count(4) |
-  (len(4) | payload)*``: one MAC over a whole coalesced burst, with
-  per-frame offsets recovered from the length prefixes.  ``0xFFFF`` is
-  an impossible sender-name length (names are capped at
-  :data:`MAX_SENDER_BYTES`), so :meth:`Authenticator.open_any`
-  distinguishes the shapes without negotiation and a connection may mix
-  both freely.
+    0xFFFF | name_len(2) | sender | sig(32) | count(4) | (len(4) | payload)*
+
+One MAC covers a whole coalesced burst (a burst of one included), and
+per-payload offsets are recovered from the length prefixes.  The
+``0xFFFF`` marker is an impossible sender-name length (names are capped
+at :data:`MAX_SENDER_BYTES`).
 
 Hot-path caches: per-sender key lookups, encoded names and the HMAC key
 schedule (via ``hmac.new(...).copy()``) are computed once per sender and
@@ -42,8 +39,8 @@ from repro.types import ProcessId
 #: ``name_len`` from walking past the envelope.
 MAX_SENDER_BYTES = 255
 
-#: First two bytes of a batch envelope -- deliberately an impossible
-#: ``name_len`` so the two envelope shapes cannot be confused.
+#: First two bytes of every envelope -- deliberately an impossible
+#: ``name_len``.
 BATCH_MARKER = b"\xff\xff"
 
 #: Byte length of an HMAC-SHA256 signature.
@@ -107,16 +104,15 @@ class KeyChain:
 class _SenderState:
     """Cached per-sender signing material."""
 
-    __slots__ = ("name", "head", "mac")
+    __slots__ = ("envelope_head", "mac")
 
     def __init__(self, pid: ProcessId, key: bytes) -> None:
         raw = pid.encode()
         if len(raw) > MAX_SENDER_BYTES:
             raise AuthenticationError(
                 f"sender name of {len(raw)} bytes exceeds the cap")
-        self.name = raw
-        #: ``name_len | sender`` -- the envelope head both shapes share.
-        self.head = _PACK_U16(len(raw)) + raw
+        #: ``0xFFFF | name_len | sender`` -- everything before the MAC.
+        self.envelope_head = BATCH_MARKER + _PACK_U16(len(raw)) + raw
         #: Keyed MAC with the ``sender|`` prefix absorbed; ``.copy()``
         #: skips the per-message key schedule.
         self.mac = hmac.new(key, raw + b"|", hashlib.sha256)
@@ -158,110 +154,69 @@ class Authenticator:
             self._names[raw] = cached
         return cached
 
-    def sign(self, sender: ProcessId, payload) -> bytes:
-        """MAC over ``sender || payload`` with the sender's key."""
-        mac = self._state_for(sender).mac.copy()
-        mac.update(payload)
-        return mac.digest()
+    def _seal(self, state: _SenderState, payloads: List[bytes]) -> bytes:
+        """One envelope over ``payloads``.
 
-    def verify(self, sender: ProcessId, payload, signature) -> None:
-        """Raise :class:`AuthenticationError` unless the MAC checks out."""
-        expected = self.sign(sender, payload)
-        if not hmac.compare_digest(expected, bytes(signature)):
-            raise AuthenticationError(
-                f"bad signature on message claiming to be from {sender!r}"
-            )
-
-    def seal(self, sender: ProcessId, payload) -> bytes:
-        """Produce a self-contained signed envelope: sender|sig|payload."""
-        state = self._state_for(sender)
-        mac = state.mac.copy()
-        mac.update(payload)
-        return state.head + mac.digest() + payload
-
-    def seal_batch(self, sender: ProcessId, payloads: List[bytes]) -> bytes:
-        """Seal a burst of payloads under **one** MAC.
-
-        The signature covers the whole payload section (count plus every
-        length-prefixed payload), so per-frame tampering, reordering and
-        truncation are all detected by the single verify in
-        :meth:`open_any`.
+        The MAC absorbs the count and each length-prefixed payload
+        incrementally, so the payload bytes are copied once, into the
+        envelope itself.  It covers the whole payload section, so
+        per-frame tampering, reordering and truncation are all detected
+        by the single verify in :meth:`open_any`.
         """
-        state = self._state_for(sender)
-        parts = [_PACK_U32(len(payloads))]
+        mac = state.mac.copy()
+        update = mac.update
+        count = _PACK_U32(len(payloads))
+        update(count)
+        parts = [state.envelope_head, b"", count]
+        append = parts.append
         for payload in payloads:
-            parts.append(_PACK_U32(len(payload)))
-            parts.append(payload)
-        body = b"".join(parts)
-        mac = state.mac.copy()
-        mac.update(body)
-        return BATCH_MARKER + state.head + mac.digest() + body
+            length = _PACK_U32(len(payload))
+            update(length)
+            update(payload)
+            append(length)
+            append(payload)
+        parts[1] = mac.digest()
+        return b"".join(parts)
 
-    def seal_frames(self, sender: ProcessId, payloads: List[bytes],
-                    batch: bool = True) -> List[bytes]:
-        """Seal a burst into wire frames, batching when it pays off.
+    def seal_frames(self, sender: ProcessId,
+                    payloads: List[bytes]) -> List[bytes]:
+        """Seal a burst into wire frames, one MAC per frame.
 
-        One-payload bursts (and ``batch=False``, the v1 wire mode) use
-        the single envelope; larger bursts collapse into batch envelopes
-        of at most :data:`MAX_BATCH_BYTES` payload bytes each, replacing
-        N HMACs with one per envelope.
+        A burst becomes envelopes of at most :data:`MAX_BATCH_BYTES`
+        payload bytes each (a single larger payload gets its own).
         """
-        if not batch or len(payloads) == 1:
-            return [self.seal(sender, payload) for payload in payloads]
+        state = self._state_for(sender)
         frames: List[bytes] = []
         chunk: List[bytes] = []
         size = 0
         for payload in payloads:
             if chunk and size + len(payload) > MAX_BATCH_BYTES:
-                frames.append(self.seal_batch(sender, chunk)
-                              if len(chunk) > 1 else
-                              self.seal(sender, chunk[0]))
+                frames.append(self._seal(state, chunk))
                 chunk, size = [], 0
             chunk.append(payload)
             size += len(payload)
         if chunk:
-            frames.append(self.seal_batch(sender, chunk)
-                          if len(chunk) > 1 else self.seal(sender, chunk[0]))
+            frames.append(self._seal(state, chunk))
         return frames
 
-    def open(self, sealed) -> tuple:
-        """Verify a single sealed envelope; returns ``(sender, payload)``."""
-        if len(sealed) < 2:
-            raise AuthenticationError("truncated envelope")
-        name_len = sealed[0] << 8 | sealed[1]
-        if name_len > MAX_SENDER_BYTES:
-            raise AuthenticationError(
-                f"absurd sender name length {name_len}")
-        if len(sealed) < 2 + name_len + _SIG_BYTES:
-            raise AuthenticationError("truncated envelope")
-        view = memoryview(sealed)
-        sender, state = self._state_for_name(bytes(view[2:2 + name_len]))
-        signature = view[2 + name_len:2 + name_len + _SIG_BYTES]
-        payload = view[2 + name_len + _SIG_BYTES:]
-        mac = state.mac.copy()
-        mac.update(payload)
-        if not hmac.compare_digest(mac.digest(), bytes(signature)):
-            raise AuthenticationError(
-                f"bad signature on message claiming to be from {sender!r}"
-            )
-        return sender, payload
-
-    def open_batch(self, sealed) -> Tuple[ProcessId, List[memoryview]]:
-        """Verify a batch envelope; returns ``(sender, payloads)``.
+    def open_any(self, sealed) -> Tuple[ProcessId, List[memoryview]]:
+        """Verify one envelope; returns ``(sender, payloads)``.
 
         One MAC check covers every payload; the returned views alias the
         input buffer (zero-copy -- decode them before recycling it).
         """
         view = memoryview(sealed)
         if len(view) < 4:
-            raise AuthenticationError("truncated batch envelope")
+            raise AuthenticationError("truncated envelope")
+        if view[0] != 0xFF or view[1] != 0xFF:
+            raise AuthenticationError("envelope lacks the 0xFFFF marker")
         name_len = view[2] << 8 | view[3]
         if name_len > MAX_SENDER_BYTES:
             raise AuthenticationError(
                 f"absurd sender name length {name_len}")
         body_at = 4 + name_len + _SIG_BYTES
         if len(view) < body_at + 4:
-            raise AuthenticationError("truncated batch envelope")
+            raise AuthenticationError("truncated envelope")
         sender, state = self._state_for_name(bytes(view[4:4 + name_len]))
         signature = view[body_at - _SIG_BYTES:body_at]
         body = view[body_at:]
@@ -269,7 +224,7 @@ class Authenticator:
         mac.update(body)
         if not hmac.compare_digest(mac.digest(), bytes(signature)):
             raise AuthenticationError(
-                f"bad signature on batch claiming to be from {sender!r}"
+                f"bad signature on envelope claiming to be from {sender!r}"
             )
         body_len = len(body)
         count = _UNPACK_U32(body, 0)[0]
@@ -278,25 +233,14 @@ class Authenticator:
         pos = 4
         for _ in range(count):
             if pos + 4 > body_len:
-                raise AuthenticationError("batch envelope length mismatch")
+                raise AuthenticationError("envelope length mismatch")
             length = unpack(body, pos)[0]
             pos += 4
             end = pos + length
             if end > body_len:
-                raise AuthenticationError("batch envelope length mismatch")
+                raise AuthenticationError("envelope length mismatch")
             payloads.append(body[pos:end])
             pos = end
         if pos != body_len:
-            raise AuthenticationError("batch envelope length mismatch")
+            raise AuthenticationError("envelope length mismatch")
         return sender, payloads
-
-    def open_any(self, sealed) -> Tuple[ProcessId, List[memoryview]]:
-        """Verify either envelope shape; returns ``(sender, payloads)``.
-
-        Single envelopes come back as one-element lists so read loops
-        can treat every verified frame uniformly.
-        """
-        if len(sealed) >= 2 and sealed[0] == 0xFF and sealed[1] == 0xFF:
-            return self.open_batch(sealed)
-        sender, payload = self.open(sealed)
-        return sender, [payload]

@@ -1,16 +1,11 @@
-"""Binary wire codec (v2): compact, length-delimited, no base64.
+"""The message codec: compact, length-delimited binary (v2).
 
-The JSON codec (:mod:`repro.transport.codec`, wire v1) pays for
-generality three times on the hot path: every ``bytes`` field inflates
-through base64, every message builds an intermediate dict, and every
-decode walks that dict back through type sniffing.  This module encodes
-the same frozen dataclasses (every entry of
-:data:`repro.transport.codec.MESSAGE_TYPES`) into a flat tagged binary
-form:
+Every protocol message is a frozen dataclass (every entry of
+:data:`MESSAGE_TYPES`); this module encodes it into a flat tagged
+binary form:
 
-* one magic byte (``0xB2``) distinguishing v2 payloads from JSON (which
-  always starts with ``{``), so decoders auto-detect the version and
-  mixed v1/v2 peers interoperate on one connection;
+* one magic byte (``0xB2``); a payload without it is rejected with
+  :class:`~repro.errors.ProtocolError`;
 * a varint message-type id (stable: assigned from the sorted registry
   names) and field count, pre-packed per class into a cached prefix;
 * fields in dataclass order as tagged values -- raw ``bytes`` carried
@@ -19,9 +14,9 @@ form:
   inlined ``Tag``/``TaggedValue``/``CodedElement`` shapes, and nested
   messages (``NamespacedMessage``) by recursion.
 
-Round-trip equivalence with v1 is bit-exact at the object level
-(``decode(encode_v2(m)) == decode(encode_v1(m)) == m``) and proven by
-the differential tests in ``tests/transport/test_codec2.py``.
+:func:`encode_value` and :func:`decode_value` expose the tagged-value
+layer on its own; server snapshots (:mod:`repro.core.persistence`) are
+one such value behind the same magic byte.
 """
 
 from __future__ import annotations
@@ -31,13 +26,22 @@ from collections import OrderedDict
 from struct import Struct
 from typing import Any, Dict, List, Tuple
 
+from repro.core import messages as message_module
 from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
 
-#: First byte of every v2 payload.  Never a valid JSON start byte.
+#: First byte of every v2 payload.
 MAGIC_V2 = 0xB2
+
+#: name -> message dataclass, discovered from the messages module.
+MESSAGE_TYPES: Dict[str, type] = {
+    name: obj for name, obj in vars(message_module).items()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    and issubclass(obj, message_module.BaseMessage)
+}
+MESSAGE_TYPES["NamespacedMessage"] = NamespacedMessage
 
 # Value tags.  One byte each; the hot shapes (bytes, ints, tags) come
 # first only by convention -- dispatch is by exact byte.
@@ -87,8 +91,6 @@ def _read_uvarint(data, pos: int) -> Tuple[int, int]:
 # running this codebase derives the same table without negotiation.
 
 def _build_tables():
-    from repro.transport.codec import MESSAGE_TYPES
-
     names = sorted(MESSAGE_TYPES)
     by_id: List[type] = []
     prefixes: Dict[type, bytes] = {}
@@ -185,10 +187,16 @@ _TV_BYPASS = (not hasattr(TaggedValue, "__post_init__")
               and not hasattr(TaggedValue, "__slots__"))
 
 
-# _encode_value appends one-byte varints (n < 0x80) inline -- small
+# encode_value appends one-byte varints (n < 0x80) inline -- small
 # lengths and ids dominate real traffic, mirroring the decode fast path.
 
-def _encode_value(out: bytearray, value: Any) -> None:
+def encode_value(out: bytearray, value: Any) -> None:
+    """Append one tagged value to ``out``; raises ProtocolError if unencodable.
+
+    Values are ``None``, ``bool``, ``int``, ``float``, ``str``,
+    ``bytes``, ``Tag``, ``TaggedValue``, ``CodedElement``, registered
+    messages, and lists, tuples and dicts of these.
+    """
     kind = type(value)
     if kind is bytes or kind is bytearray or kind is memoryview:
         out.append(_T_BYTES)
@@ -248,7 +256,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         else:
             _uvarint(out, length)
         out += raw
-        _encode_value(out, value.value)
+        encode_value(out, value.value)
     elif kind is CodedElement:
         out.append(_T_CODED)
         _uvarint(out, value.index)
@@ -263,13 +271,13 @@ def _encode_value(out: bytearray, value: Any) -> None:
         out.append(_T_SEQ)
         _uvarint(out, len(value))
         for item in value:
-            _encode_value(out, item)
+            encode_value(out, item)
     elif kind is dict:
         out.append(_T_DICT)
         _uvarint(out, len(value))
         for key, item in value.items():
-            _encode_value(out, key)
-            _encode_value(out, item)
+            encode_value(out, key)
+            encode_value(out, item)
     elif kind in _PREFIXES:
         out.append(_T_MSG)
         _encode_into(out, value)
@@ -282,7 +290,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         elif isinstance(value, bool):
             out.append(_T_TRUE if value else _T_FALSE)
         elif isinstance(value, int):
-            _encode_value(out, int(value))
+            encode_value(out, int(value))
         elif isinstance(value, float):
             out.append(_T_FLOAT)
             out += _PACK_F64.pack(value)
@@ -290,7 +298,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
             out.append(_T_SEQ)
             _uvarint(out, len(value))
             for item in value:
-                _encode_value(out, item)
+                encode_value(out, item)
         else:
             raise ProtocolError(
                 f"cannot serialize {type(value).__name__}: {value!r}")
@@ -303,12 +311,12 @@ def _encode_into(out: bytearray, message: Any) -> None:
         raise ProtocolError(
             f"{cls.__name__} is not a registered message type")
     out += prefix
-    encode_value = _encode_value
+    encode = encode_value
     for name in _FIELDS[cls]:
-        encode_value(out, getattr(message, name))
+        encode(out, getattr(message, name))
 
 
-def encode_message_v2(message: Any) -> bytes:
+def encode_message(message: Any) -> bytes:
     """Serialize one protocol message to compact binary bytes."""
     # _encode_into's body, inlined: one call layer per message matters
     # at wire-path rates.
@@ -318,17 +326,24 @@ def encode_message_v2(message: Any) -> bytes:
         raise ProtocolError(
             f"{cls.__name__} is not a registered message type")
     out = bytearray(prefix)
-    encode_value = _encode_value
+    encode = encode_value
     for name in _FIELDS[cls]:
-        encode_value(out, getattr(message, name))
+        encode(out, getattr(message, name))
     return bytes(out)
 
 
-# _decode_value inlines the one-byte varint case (b < 0x80) at every
+# decode_value inlines the one-byte varint case (b < 0x80) at every
 # length/count read -- small fields dominate real traffic, and skipping
 # the _read_uvarint call per field is a measurable share of decode time.
 
-def _decode_value(data, pos: int) -> Tuple[Any, int]:
+def decode_value(data, pos: int) -> Tuple[Any, int]:
+    """Decode the tagged value at ``data[pos]``; returns ``(value, end)``.
+
+    Sequences decode as lists.  Malformed input raises ProtocolError or
+    another exception (a value cut short raises IndexError); callers
+    decoding outside input convert those to ProtocolError, as
+    :func:`decode_message` does.
+    """
     tag = data[pos]
     pos += 1
     if tag == _T_BYTES:
@@ -401,7 +416,7 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
         if end > len(data):
             raise ProtocolError("truncated tagged value")
         writer = str(data[pos:end], "utf-8")
-        value, pos = _decode_value(data, end)
+        value, pos = decode_value(data, end)
         if _TAG_BYPASS and _TV_BYPASS:
             tag_obj = _NEW(Tag)
             fields = tag_obj.__dict__
@@ -428,15 +443,15 @@ def _decode_value(data, pos: int) -> Tuple[Any, int]:
             count, pos = _read_uvarint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos)
+            item, pos = decode_value(data, pos)
             items.append(item)
         return items, pos
     if tag == _T_DICT:
         count, pos = _read_uvarint(data, pos)
         mapping = {}
         for _ in range(count):
-            key, pos = _decode_value(data, pos)
-            value, pos = _decode_value(data, pos)
+            key, pos = decode_value(data, pos)
+            value, pos = decode_value(data, pos)
             mapping[key] = value
         return mapping, pos
     if tag == _T_MSG:
@@ -476,10 +491,10 @@ def _decode_message_at(data, pos: int) -> Tuple[Any, int]:
             f"expected {len(field_names)}")
     values = []
     for _ in range(nfields):
-        value, pos = _decode_value(data, pos)
+        value, pos = decode_value(data, pos)
         values.append(value)
     # Sequences flatten to lists on the wire; restore tuples at the top
-    # level for frozen-dataclass equality (mirrors the JSON codec).
+    # level for frozen-dataclass equality.
     if _BYPASS_INIT[cls]:
         decoded = _NEW(cls)
         fields = decoded.__dict__
@@ -493,8 +508,8 @@ def _decode_message_at(data, pos: int) -> Tuple[Any, int]:
     return decoded, pos
 
 
-def decode_message_v2(data) -> Any:
-    """Inverse of :func:`encode_message_v2`; raises ProtocolError on garbage.
+def decode_message(data) -> Any:
+    """Inverse of :func:`encode_message`; raises ProtocolError on garbage.
 
     ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` into a
     receive buffer -- every field is copied out into an owned object, so
@@ -504,7 +519,7 @@ def decode_message_v2(data) -> Any:
     # overwhelmingly common case); the helper remains for nested ones.
     try:
         if not data or data[0] != MAGIC_V2:
-            raise ProtocolError("nested message lacks the v2 magic byte")
+            raise ProtocolError("payload lacks the v2 magic byte")
         pos = 1
         type_id = data[pos]
         if type_id < 0x80:
@@ -524,10 +539,10 @@ def decode_message_v2(data) -> Any:
             raise ProtocolError(
                 f"{cls.__name__} carries {nfields} fields, "
                 f"expected {len(field_names)}")
-        decode_value = _decode_value
+        decode = decode_value
         values = []
         for _ in range(nfields):
-            value, pos = decode_value(data, pos)
+            value, pos = decode(data, pos)
             values.append(value)
         if _BYPASS_INIT[cls]:
             decoded = _NEW(cls)
@@ -618,7 +633,7 @@ class CachedEncoder:
         names = _FIELDS.get(icls)
         if (not names or names[0] != "op_id"
                 or type(register) is not str or len(register) >= 0x80):
-            return encode_message_v2(message)
+            return encode_message(message)
         shape = self._shape.get(icls)
         if shape is not None:
             op_id = inner.op_id
@@ -653,16 +668,16 @@ class CachedEncoder:
                 out += shape[1]
                 return bytes(out)
         out = bytearray(_NS_PREFIX)
-        _encode_value(out, register)
+        encode_value(out, register)
         out.append(_T_MSG)
         out += _PREFIXES[icls]
-        _encode_value(out, inner.op_id)
+        encode_value(out, inner.op_id)
         start = len(out)
         vals = []
         cacheable = type(inner.op_id) is int and inner.op_id >= 0
         for name in names[1:]:
             value = getattr(inner, name)
-            _encode_value(out, value)
+            encode_value(out, value)
             if type(value) not in _IMMUTABLE_FIELD_TYPES:
                 cacheable = False
             vals.append(value)
@@ -703,20 +718,20 @@ class CachedEncoder:
                         out.append((op_id & 0x7F) | 0x80)
                         out.append(op_id >> 7)
                 else:
-                    _encode_value(out, op_id)
+                    encode_value(out, op_id)
                 out += self._tail
                 return bytes(out)
         names = _FIELDS.get(cls)
         if not names or names[0] != "op_id":
-            return encode_message_v2(message)
+            return encode_message(message)
         out = bytearray(_PREFIXES[cls])
-        _encode_value(out, message.op_id)
+        encode_value(out, message.op_id)
         start = len(out)
         vals = []
         cacheable = True
         for name in names[1:]:
             value = getattr(message, name)
-            _encode_value(out, value)
+            encode_value(out, value)
             if type(value) not in _IMMUTABLE_FIELD_TYPES:
                 cacheable = False
             vals.append(value)
@@ -740,9 +755,9 @@ class CachedDecoder:
     is rebuilt from the cached values (safe to share: only immutable
     types are cached).  Byte equality against a payload that already
     decoded successfully implies the same structure, so hits are exactly
-    what the full decode would have produced.  Everything else -- v1
-    payloads, differing bytes, mutable or op_id-less shapes -- falls
-    through to :func:`repro.transport.codec.decode_message` verbatim.
+    what the full decode would have produced.  Everything else --
+    differing bytes, mutable or op_id-less shapes -- falls through to
+    :func:`decode_message` verbatim.
 
     Namespaced payloads cache by *shape*, not by register: the template
     key is the five fixed bytes after the register string (``_T_MSG``,
@@ -871,17 +886,14 @@ class CachedDecoder:
                     fields.update(self._pairs)
                     fields["op_id"] = op_id
                     return message
-        from repro.transport.codec import decode_message
-
         message = decode_message(data)
         cls = type(message)
         if cls is NamespacedMessage:
-            if _NS_FAST and data[0] == MAGIC_V2:
+            if _NS_FAST:
                 self._learn_namespaced(data, message)
             return message
         names = _FIELDS.get(cls)
-        if (data[0] == MAGIC_V2 and names and names[0] == "op_id"
-                and _BYPASS_INIT.get(cls)):
+        if names and names[0] == "op_id" and _BYPASS_INIT.get(cls):
             fields = message.__dict__
             values = [fields[name] for name in names[1:]]
             if all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
@@ -914,8 +926,8 @@ def peek_op_id_v2(data) -> Any:
     Namespaced payloads are peeked *through*: the register string is
     skipped and the inner message's ``op_id`` returned, so keyed reply
     streams route as cheaply as bare ones.  Returns ``None`` for
-    anything else -- v1 payloads, messages whose first field is not
-    ``op_id``, or bytes too malformed to peek at; callers fall back to
+    anything else -- messages whose first field is not ``op_id``, or
+    bytes too malformed to peek at; callers fall back to
     the full decode, which reports malformations properly.  Reply pumps
     use this to route (or drop) a reply by ``op_id`` before paying for
     its decode: surplus replies past the quorum and stale replies to

@@ -8,7 +8,7 @@ from repro.core.bsr import BSRServer
 from repro.core.messages import PutData, QueryData, QueryTag
 from repro.core.persistence import restore_server, snapshot_server
 from repro.core.regular import RegularBSRServer
-from repro.core.tags import TAG_ZERO, Tag
+from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.errors import ProtocolError
 
 
@@ -83,11 +83,40 @@ def test_snapshot_rejects_unknown_types():
         snapshot_server(Impostor())
 
 
+def _out_of_order_snapshot():
+    """Four entries, tags 0, 5, 3, 4, from a ``max_history=2`` server."""
+    server = BSRServer("s000", max_history=2)
+    server.history = [TaggedValue(Tag(num, "w"), b"v") for num in (0, 5, 3, 4)]
+    return snapshot_server(server)
+
+
+def _overlong_snapshot():
+    """Ascending tags, but more entries than ``max_history`` allows."""
+    server = BSRServer("s000", max_history=2)
+    server.history = [TaggedValue(Tag(num, "w"), b"v") for num in range(4)]
+    return snapshot_server(server)
+
+
+def _empty_history_snapshot():
+    server = BSRServer("s000")
+    server.history = []
+    return snapshot_server(server)
+
+
 def test_restore_rejects_garbage():
-    with pytest.raises(ProtocolError):
-        restore_server(b"not json")
-    with pytest.raises(ProtocolError):
-        restore_server(b'{"type": "BSRServer", "server_id": "s", "history": []}')
+    valid = snapshot_server(BSRServer("s000"))
+    for blob in (
+        b"",
+        b"not v2",
+        b'{"type": "BSRServer", "server_id": "s", "history": []}',
+        valid + b"!",   # trailing bytes
+        valid[:-1],     # truncated
+        _empty_history_snapshot(),
+        _out_of_order_snapshot(),
+        _overlong_snapshot(),
+    ):
+        with pytest.raises(ProtocolError):
+            restore_server(blob)
 
 
 def test_stale_snapshot_is_just_a_slow_server():

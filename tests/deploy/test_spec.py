@@ -76,9 +76,10 @@ def test_from_toml_file(tmp_path):
 
 def test_from_file_rejects_unknown_keys_and_garbage(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"algorithm": "bsr", "flux_capacitor": 88}))
-    with pytest.raises(ConfigurationError):
-        ClusterSpec.from_file(str(bad))
+    for extra in ({"flux_capacitor": 88}, {"wire": "v2"}):
+        bad.write_text(json.dumps({"algorithm": "bsr", **extra}))
+        with pytest.raises(ConfigurationError):
+            ClusterSpec.from_file(str(bad))
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json at all")
     with pytest.raises(ConfigurationError):
@@ -123,6 +124,6 @@ def test_spec_keys_interoperate_with_node_auth():
     # built from the same spec (same shared secret).
     spec = ClusterSpec(algorithm="bsr", f=1, secret="interop")
     auth = spec.authenticator()
-    sealed = auth.seal("w000", b"payload")
-    sender, payload = spec.build_node("s000").auth.open(sealed)
-    assert (sender, payload) == ("w000", b"payload")
+    [sealed] = auth.seal_frames("w000", [b"payload"])
+    sender, payloads = spec.build_node("s000").auth.open_any(sealed)
+    assert (sender, [bytes(p) for p in payloads]) == ("w000", [b"payload"])

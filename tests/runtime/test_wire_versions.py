@@ -1,67 +1,23 @@
-"""Mixed wire versions: v1 and v2 peers interoperate on one cluster.
+"""Real TCP clusters on the one wire format (codec v2, batch-sealed).
 
-Version detection is per payload (JSON starts with ``{``, v2 with the
-``0xB2`` magic, batch envelopes with an impossible ``name_len``), so a
-v1 client must work against v2 nodes and vice versa with no
-negotiation.  These tests run real TCP clusters in every combination.
+Every burst a client or node sends, a burst of one included, travels in
+one sealed envelope; these tests drive concurrent, namespaced and
+Byzantine traffic through it.
 """
 
 import asyncio
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.runtime import LocalCluster
-from repro.runtime.client import AsyncRegisterClient
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-@pytest.mark.parametrize("node_wire,client_wire", [
-    ("v1", "v1"), ("v1", "v2"), ("v2", "v1"), ("v2", "v2"),
-])
-def test_mixed_wire_cluster_write_read(node_wire, client_wire):
-    async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire=node_wire)
-        await cluster.start()
-        try:
-            writer = cluster.client("w000", wire=client_wire)
-            reader = cluster.client("r000", wire=client_wire)
-            await writer.connect()
-            await reader.connect()
-            tag = await writer.write(b"mixed-wire-value")
-            assert tag.num == 1
-            assert await reader.read() == b"mixed-wire-value"
-        finally:
-            await cluster.stop()
-
-    run(scenario())
-
-
-def test_v1_and_v2_clients_share_one_v2_cluster():
-    """Two clients on different wire versions observe each other."""
-    async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire="v2")
-        await cluster.start()
-        try:
-            old = cluster.client("w000", wire="v1")
-            new = cluster.client("r000", wire="v2")
-            await old.connect()
-            await new.connect()
-            await old.write(b"written-on-v1")
-            assert await new.read() == b"written-on-v1"
-        finally:
-            await cluster.stop()
-
-    run(scenario())
-
-
 def test_concurrent_ops_on_v2_wire_batch_seal():
     """Concurrent in-flight ops ride the batched envelope unharmed."""
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, wire="v2")
+        cluster = LocalCluster("bsr", f=1)
         await cluster.start()
         try:
             client = cluster.client("w000", max_inflight=8)
@@ -72,21 +28,15 @@ def test_concurrent_ops_on_v2_wire_batch_seal():
             reader = cluster.client("r000")
             await reader.connect()
             assert (await reader.read()).startswith(b"burst-")
-            stats = cluster.registry.snapshot()
         finally:
             await cluster.stop()
 
     run(scenario())
 
 
-def test_wire_validation():
-    with pytest.raises(ConfigurationError):
-        AsyncRegisterClient("c0", {}, 1, None, wire="v3")
-
-
 def test_namespaced_registers_on_v2_wire():
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, namespaced=True, wire="v2")
+        cluster = LocalCluster("bsr", f=1, namespaced=True)
         await cluster.start()
         try:
             client = cluster.client("w000")
@@ -101,11 +51,9 @@ def test_namespaced_registers_on_v2_wire():
     run(scenario())
 
 
-@pytest.mark.parametrize("wire", ["v1", "v2"])
-def test_byzantine_tolerated_on_both_wires(wire):
+def test_forge_tag_tolerated():
     async def scenario():
-        cluster = LocalCluster("bsr", f=1, byzantine={2: "forge_tag"},
-                               wire=wire)
+        cluster = LocalCluster("bsr", f=1, byzantine={2: "forge_tag"})
         await cluster.start()
         try:
             writer = cluster.client("w000")

@@ -11,41 +11,55 @@ def auth():
     return Authenticator(KeyChain.from_secret(b"secret", ["a", "b"]))
 
 
+def seal(auth, sender, payload):
+    [frame] = auth.seal_frames(sender, [payload])
+    return frame
+
+
+def opened(auth, frame):
+    sender, payloads = auth.open_any(frame)
+    return sender, [bytes(p) for p in payloads]
+
+
 def test_sign_verify_roundtrip(auth):
-    signature = auth.sign("a", b"payload")
-    auth.verify("a", b"payload", signature)  # no exception
+    # The verifier is a separate Authenticator over the same secret.
+    verifier = Authenticator(KeyChain.from_secret(b"secret"))
+    assert opened(verifier, seal(auth, "a", b"payload")) == ("a", [b"payload"])
 
 
 def test_tampered_payload_rejected(auth):
-    signature = auth.sign("a", b"payload")
+    frame = seal(auth, "a", b"payload")
+    tampered = frame[:-len(b"payload")] + b"PAYLOAD"
     with pytest.raises(AuthenticationError):
-        auth.verify("a", b"PAYLOAD", signature)
+        auth.open_any(tampered)
 
 
 def test_wrong_sender_rejected(auth):
     """A process cannot impersonate another: keys differ per process."""
-    signature = auth.sign("a", b"payload")
+    frame = seal(auth, "a", b"payload")
+    # Envelope head: marker(2) | name_len(2) | sender -- rename a -> b.
+    forged = frame[:4] + b"b" + frame[5:]
     with pytest.raises(AuthenticationError):
-        auth.verify("b", b"payload", signature)
+        auth.open_any(forged)
 
 
 def test_seal_open_roundtrip(auth):
-    sealed = auth.seal("a", b"hello")
-    assert auth.open(sealed) == ("a", b"hello")
+    assert opened(auth, seal(auth, "a", b"hello")) == ("a", [b"hello"])
 
 
 def test_open_rejects_truncated(auth):
-    with pytest.raises(AuthenticationError):
-        auth.open(b"\x00")
-    with pytest.raises(AuthenticationError):
-        auth.open(b"\x00\x05abc")
+    frame = seal(auth, "a", b"hello")
+    for blob in (b"\x00", b"\x00\x05abc", b"\xff\xff", frame[:10],
+                 frame[:-1]):
+        with pytest.raises(AuthenticationError):
+            auth.open_any(blob)
 
 
 def test_open_rejects_flipped_bit(auth):
-    sealed = bytearray(auth.seal("a", b"hello"))
-    sealed[-1] ^= 0x01
+    frame = bytearray(seal(auth, "a", b"hello"))
+    frame[-1] ^= 0x01
     with pytest.raises(AuthenticationError):
-        auth.open(bytes(sealed))
+        auth.open_any(bytes(frame))
 
 
 def test_keychain_without_secret_rejects_unknown():
@@ -73,12 +87,12 @@ def test_keychain_add_and_contains():
 def test_different_secrets_do_not_interoperate():
     a = Authenticator(KeyChain.from_secret(b"one"))
     b = Authenticator(KeyChain.from_secret(b"two"))
-    sealed = a.seal("p", b"data")
+    frame = seal(a, "p", b"data")
     with pytest.raises(AuthenticationError):
-        b.open(sealed)
+        b.open_any(frame)
 
 
 def test_empty_payload_and_unicode_sender():
     auth = Authenticator(KeyChain.from_secret(b"s"))
-    sealed = auth.seal("ünïcode", b"")
-    assert auth.open(sealed) == ("ünïcode", b"")
+    frame = seal(auth, "ünïcode", b"")
+    assert opened(auth, frame) == ("ünïcode", [b""])

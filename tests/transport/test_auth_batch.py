@@ -1,4 +1,4 @@
-"""Batched HMAC sealing: one MAC per burst, tamper-evident throughout."""
+"""Envelope sealing: one MAC per burst, tamper-evident throughout."""
 
 import pytest
 
@@ -17,71 +17,66 @@ def auth():
     return Authenticator(KeyChain.from_secret(b"secret", ["a", "b"]))
 
 
+def seal(auth, sender, payloads):
+    [frame] = auth.seal_frames(sender, payloads)
+    return frame
+
+
 def test_batch_roundtrip(auth):
     payloads = [b"one", b"", b"three" * 100, b"\x00\xff"]
-    sealed = auth.seal_batch("a", payloads)
-    sender, got = auth.open_batch(sealed)
+    sender, got = auth.open_any(seal(auth, "a", payloads))
     assert sender == "a"
     assert [bytes(p) for p in got] == payloads
 
 
 def test_batch_envelope_starts_with_marker(auth):
-    sealed = auth.seal_batch("a", [b"x", b"y"])
-    assert sealed[:2] == BATCH_MARKER
+    assert seal(auth, "a", [b"x", b"y"])[:2] == BATCH_MARKER
 
 
-def test_open_any_dispatches_both_shapes(auth):
-    single = auth.seal("a", b"solo")
-    batch = auth.seal_batch("b", [b"p1", b"p2"])
-    sender, payloads = auth.open_any(single)
-    assert (sender, [bytes(p) for p in payloads]) == ("a", [b"solo"])
-    sender, payloads = auth.open_any(batch)
-    assert (sender, [bytes(p) for p in payloads]) == ("b", [b"p1", b"p2"])
+def test_open_any_rejects_unmarked_envelope(auth):
+    """The retired single-seal shape (no marker) is not accepted."""
+    frame = seal(auth, "a", [b"solo"])
+    with pytest.raises(AuthenticationError):
+        auth.open_any(frame[2:])
 
 
 def test_batch_tamper_any_payload_rejected(auth):
-    sealed = bytearray(auth.seal_batch("a", [b"first", b"second"]))
+    sealed = bytearray(seal(auth, "a", [b"first", b"second"]))
     sealed[-2] ^= 0x01          # flip a bit inside the *last* payload
     with pytest.raises(AuthenticationError):
-        auth.open_batch(bytes(sealed))
+        auth.open_any(bytes(sealed))
 
 
 def test_batch_reorder_rejected(auth):
     """Swapping two equal-length payloads breaks the single MAC."""
-    sealed = auth.seal_batch("a", [b"AAAA", b"BBBB"])
-    head_len = len(sealed) - (4 + 8 + 8 + 8)   # body = count + 2*(len+4B)
+    sealed = seal(auth, "a", [b"AAAA", b"BBBB"])
+    head_len = len(sealed) - (4 + 8 + 8)   # body = count + 2*(len+4B)
     body = bytearray(sealed[head_len:])
     body[8:12], body[16:20] = body[16:20], body[8:12]
     with pytest.raises(AuthenticationError):
-        auth.open_batch(bytes(sealed[:head_len]) + bytes(body))
+        auth.open_any(bytes(sealed[:head_len]) + bytes(body))
 
 
 def test_batch_truncation_rejected(auth):
-    sealed = auth.seal_batch("a", [b"one", b"two"])
+    sealed = seal(auth, "a", [b"one", b"two"])
     with pytest.raises(AuthenticationError):
-        auth.open_batch(sealed[:-1])
+        auth.open_any(sealed[:-1])
     with pytest.raises(AuthenticationError):
-        auth.open_batch(sealed[:10])
+        auth.open_any(sealed[:10])
 
 
 def test_batch_wrong_key_rejected(auth):
     other = Authenticator(KeyChain.from_secret(b"different"))
-    sealed = other.seal_batch("a", [b"x"])
     with pytest.raises(AuthenticationError):
-        auth.open_batch(sealed)
+        auth.open_any(seal(other, "a", [b"x"]))
 
 
 def test_seal_frames_single_payload_uses_single_envelope(auth):
     frames = auth.seal_frames("a", [b"only"])
     assert len(frames) == 1
-    assert frames[0][:2] != BATCH_MARKER
-    assert auth.open(frames[0]) == ("a", b"only")
-
-
-def test_seal_frames_batch_false_is_v1_compatible(auth):
-    frames = auth.seal_frames("a", [b"x", b"y"], batch=False)
-    assert len(frames) == 2
-    assert [auth.open(f) for f in frames] == [("a", b"x"), ("a", b"y")]
+    assert frames[0][:2] == BATCH_MARKER
+    sender, payloads = auth.open_any(frames[0])
+    assert (sender, [bytes(p) for p in payloads]) == ("a", [b"only"])
 
 
 def test_seal_frames_splits_oversized_bursts(auth):
@@ -98,53 +93,50 @@ def test_seal_frames_splits_oversized_bursts(auth):
 def test_open_rejects_absurd_name_length(auth):
     # name_len 0x6f6d ("om") = 28525 -- garbage that must die before
     # slicing, not by walking 28 KiB past the envelope.
-    with pytest.raises(AuthenticationError):
-        auth.open(b"omplete garbage" + b"\x00" * 40)
-    bogus = (MAX_SENDER_BYTES + 1).to_bytes(2, "big") + b"x" * 400
-    with pytest.raises(AuthenticationError):
-        auth.open(bogus)
+    for head in (b"", BATCH_MARKER):
+        with pytest.raises(AuthenticationError):
+            auth.open_any(head + b"omplete garbage" + b"\x00" * 40)
 
 
 def test_open_batch_rejects_absurd_name_length(auth):
     bogus = BATCH_MARKER + (MAX_SENDER_BYTES + 1).to_bytes(2, "big")
     with pytest.raises(AuthenticationError):
-        auth.open_batch(bogus + b"x" * 400)
+        auth.open_any(bogus + b"x" * 400)
 
 
 def test_seal_rejects_oversized_sender_name():
     auth = Authenticator(KeyChain.from_secret(b"s"))
     with pytest.raises(AuthenticationError):
-        auth.seal("w" * (MAX_SENDER_BYTES + 1), b"payload")
+        auth.seal_frames("w" * (MAX_SENDER_BYTES + 1), [b"payload"])
 
 
 def test_batch_length_field_mismatch_rejected(auth):
     """A count that overruns the body is caught by the length checks."""
-    sealed = bytearray(auth.seal_batch("a", [b"pp"]))
+    sealed = seal(auth, "a", [b"pp"])
     # The MAC covers the count, so inflating it also fails the verify;
     # craft the failure *before* the MAC by truncating the body instead.
     with pytest.raises(AuthenticationError):
-        auth.open_batch(bytes(sealed[:-3]))
+        auth.open_any(sealed[:-3])
 
 
 def test_key_rotation_invalidates_cached_state():
     chain = KeyChain.from_secret(b"s", ["a"])
     auth = Authenticator(chain)
-    sealed_old = auth.seal("a", b"before")
-    assert auth.open(sealed_old)[0] == "a"
+    sealed_old = seal(auth, "a", [b"before"])
+    assert auth.open_any(sealed_old)[0] == "a"
     chain.add("a", b"fresh-key-32-bytes-fresh-key-32!")
-    sealed_new = auth.seal("a", b"after")
-    assert auth.open(sealed_new) == ("a", b"after")
+    sealed_new = seal(auth, "a", [b"after"])
+    sender, payloads = auth.open_any(sealed_new)
+    assert (sender, [bytes(p) for p in payloads]) == ("a", [b"after"])
     with pytest.raises(AuthenticationError):
-        auth.open(sealed_old)
+        auth.open_any(sealed_old)
 
 
 def test_batch_of_one_roundtrips(auth):
-    sealed = auth.seal_batch("a", [b"lonely"])
-    sender, payloads = auth.open_any(sealed)
+    sender, payloads = auth.open_any(seal(auth, "a", [b"lonely"]))
     assert (sender, [bytes(p) for p in payloads]) == ("a", [b"lonely"])
 
 
 def test_batch_payload_views_are_zero_copy(auth):
-    sealed = auth.seal_batch("a", [b"view-me"])
-    _, payloads = auth.open_batch(sealed)
+    _, payloads = auth.open_any(seal(auth, "a", [b"view-me"]))
     assert isinstance(payloads[0], memoryview)

@@ -1,4 +1,4 @@
-"""Unit tests for message serialization."""
+"""Unit tests for the message codec's public encode/decode pair."""
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.core.messages import (
 from repro.core.tags import TAG_ZERO, Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
-from repro.transport.codec import MESSAGE_TYPES, decode_message, encode_message
+from repro.transport.codec2 import MESSAGE_TYPES, decode_message, encode_message
 
 ROUNDTRIP_MESSAGES = [
     QueryTag(op_id=1),

@@ -1,13 +1,16 @@
-"""Binary codec v2: differential equivalence with v1, fuzz, garbage.
+"""Binary codec v2: every message type, cached paths, fuzz, garbage.
 
-The v2 codec is only acceptable if it is *bit-exact at the object
-level* with the JSON codec: for every registered message type and every
-payload shape the protocols emit, ``decode(encode_v2(m))`` must equal
-``decode(encode_v1(m))`` must equal ``m``.  These tests enumerate the
-full registry with representative instances, fuzz the value space with
-hypothesis, and confirm malformed inputs die with ``ProtocolError``
-rather than arbitrary exceptions.
+For every registered message type and every payload shape the protocols
+emit, ``decode(encode(m))`` must equal ``m``, and the cached encoder and
+decoder the runtime uses must agree with the plain pair byte for byte
+and object for object.  These tests enumerate the full registry with
+representative instances, fuzz the value space with hypothesis, and
+confirm malformed inputs die with ``ProtocolError`` rather than
+arbitrary exceptions.
 """
+
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,11 +49,13 @@ from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.errors import ProtocolError
-from repro.transport.codec import MESSAGE_TYPES, decode_message, encode_message
 from repro.transport.codec2 import (
     MAGIC_V2,
-    decode_message_v2,
-    encode_message_v2,
+    MESSAGE_TYPES,
+    CachedDecoder,
+    CachedEncoder,
+    decode_message,
+    encode_message,
 )
 
 TAG = Tag(7, "w001")
@@ -93,7 +98,7 @@ SAMPLES = {
         "histograms": [],
     }),
     "Throttled": Throttled(op_id=21, retry_after=0.25, dropped="PutData"),
-    # records must be a tuple: both codecs restore top-level lists to
+    # records must be a tuple: the codec restores top-level lists to
     # tuples, and the roundtrip asserts decoded == original.
     "TraceDump": TraceDump(op_id=23, target_op=128, limit=16),
     "TraceAck": TraceAck(op_id=24, node_id="s002", records=(
@@ -109,39 +114,41 @@ def test_samples_cover_the_whole_registry():
     assert set(SAMPLES) == set(MESSAGE_TYPES)
 
 
+def assert_roundtrips(message):
+    """Plain and cached codec paths agree on ``message``, twice over."""
+    blob = encode_message(message)
+    assert blob[0] == MAGIC_V2
+    assert decode_message(blob) == message
+    encoder, decoder = CachedEncoder(), CachedDecoder()
+    for _ in range(2):  # the second pass may take the cached fast paths
+        assert encoder(message) == blob
+        assert decoder(blob) == message
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_differential_roundtrip(name):
-    """v2 and v1 agree on every registered message type."""
-    message = SAMPLES[name]
-    blob = encode_message_v2(message)
-    assert blob[0] == MAGIC_V2
-    via_v2 = decode_message(blob)
-    via_v1 = decode_message(encode_message(message))
-    assert via_v2 == message
-    assert via_v1 == message
-    assert via_v2 == via_v1
-    # Dispatch and the direct entry point agree.
-    assert decode_message_v2(blob) == message
+    """Plain and cached paths agree on every registered message type."""
+    assert_roundtrips(SAMPLES[name])
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_v2_is_smaller_or_equal(name):
-    """The binary encoding never loses to JSON on size."""
+    """The binary encoding never loses to Python's generic one on size."""
     message = SAMPLES[name]
-    assert len(encode_message_v2(message)) <= len(encode_message(message))
+    assert len(encode_message(message)) <= len(pickle.dumps(message))
 
 
 def test_decode_accepts_memoryview():
     message = PutData(op_id=1, tag=TAG, payload=b"\x00\x01\xfe\xff")
-    blob = encode_message_v2(message)
+    blob = encode_message(message)
     assert decode_message(memoryview(blob)) == message
-    assert decode_message_v2(memoryview(bytearray(blob))) == message
+    assert decode_message(memoryview(bytearray(blob))) == message
 
 
 def test_empty_and_large_bytes_payloads():
     for payload in (b"", b"\x00" * 100, bytes(range(256)) * 4096):
         message = PutData(op_id=9, tag=TAG, payload=payload)
-        decoded = decode_message(encode_message_v2(message))
+        decoded = decode_message(encode_message(message))
         assert decoded == message
         assert isinstance(decoded.payload, bytes)
 
@@ -151,22 +158,21 @@ def test_deeply_nested_namespaced_message():
     wrapped = NamespacedMessage(
         register="outer",
         inner=NamespacedMessage(register="inner", inner=inner))
-    assert decode_message(encode_message_v2(wrapped)) == wrapped
-    assert decode_message(encode_message(wrapped)) == wrapped
+    assert_roundtrips(wrapped)
 
 
 def test_extreme_integers_and_floats():
     message = HealthAck(op_id=2**63, node_id="s000",
                         history_len=-12345, frames=0, throttled=2**40,
                         snapshot_age=-1.0)
-    assert decode_message(encode_message_v2(message)) == message
+    assert decode_message(encode_message(message)) == message
     inf = Throttled(op_id=0, retry_after=float("inf"), dropped="")
-    assert decode_message(encode_message_v2(inf)) == inf
+    assert decode_message(encode_message(inf)) == inf
 
 
 def test_tuples_survive_as_tuples():
     message = TagHistoryReply(op_id=1, tags=(TAG, Tag(8, "w002")))
-    decoded = decode_message(encode_message_v2(message))
+    decoded = decode_message(encode_message(message))
     assert isinstance(decoded.tags, tuple)
     assert decoded == message
 
@@ -178,32 +184,38 @@ def test_tuples_survive_as_tuples():
     b"\xb2\xf0\x01",                      # unknown type id
     b"\xb2\x00",                          # type ok, missing field count
     b"\xb2\x00\x05",                      # wrong field count
-    encode_message_v2(QueryTag(op_id=1))[:-1],   # truncated last field
-    encode_message_v2(QueryTag(op_id=1)) + b"!",  # trailing bytes
+    encode_message(QueryTag(op_id=1))[:-1],   # truncated last field
+    encode_message(QueryTag(op_id=1)) + b"!",  # trailing bytes
     b"\xb2" + b"\xff" * 32,               # varint bomb
 ])
 def test_garbage_raises_protocol_error(blob):
     with pytest.raises(ProtocolError):
-        decode_message_v2(blob)
-    if blob[:1] == b"\xb2":
-        with pytest.raises(ProtocolError):
-            decode_message(blob)
+        decode_message(blob)
+
+
+def test_json_payload_rejected():
+    """A JSON message (the retired v1 format) lacks the magic byte."""
+    blob = json.dumps({"type": "QueryTag", "fields": {"op_id": 1}}).encode()
+    with pytest.raises(ProtocolError):
+        decode_message(blob)
+    with pytest.raises(ProtocolError):
+        CachedDecoder()(blob)
 
 
 def test_unknown_value_tag_raises():
-    good = encode_message_v2(TagReply(op_id=1, tag=TAG))
+    good = encode_message(TagReply(op_id=1, tag=TAG))
     # Clobber the first field's value tag with an unassigned byte.
     bad = bytearray(good)
     bad[3] = 0x7E
     with pytest.raises(ProtocolError):
-        decode_message_v2(bytes(bad))
+        decode_message(bytes(bad))
 
 
 def test_unregistered_type_rejected_at_encode():
     with pytest.raises(ProtocolError):
-        encode_message_v2(object())
+        encode_message(object())
     with pytest.raises(ProtocolError):
-        encode_message_v2(Tag(1, "w"))   # a value, not a message
+        encode_message(Tag(1, "w"))   # a value, not a message
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +223,7 @@ def test_unregistered_type_rejected_at_encode():
 def test_fuzz_arbitrary_bytes_never_crash(noise):
     """Random (non-)payloads die with ProtocolError, nothing else."""
     try:
-        decode_message_v2(b"\xb2" + noise)
+        decode_message(b"\xb2" + noise)
     except ProtocolError:
         pass
 
@@ -242,9 +254,8 @@ fuzz_messages = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(fuzz_messages)
 def test_fuzz_differential_equivalence(message):
-    """Random messages: both codecs decode to the identical object."""
-    assert decode_message(encode_message_v2(message)) == message
-    assert decode_message(encode_message(message)) == message
+    """Random messages: plain and cached paths agree exactly."""
+    assert_roundtrips(message)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,4 +263,4 @@ def test_fuzz_differential_equivalence(message):
        fuzz_messages)
 def test_fuzz_namespaced(register, message):
     wrapped = NamespacedMessage(register=register, inner=message)
-    assert decode_message(encode_message_v2(wrapped)) == wrapped
+    assert_roundtrips(wrapped)

@@ -18,7 +18,7 @@ from repro.core.namespace import NamespacedMessage
 from repro.core.tags import Tag, TaggedValue
 from repro.erasure.striping import CodedElement
 from repro.transport.auth import Authenticator, KeyChain
-from repro.transport.codec import decode_message, encode_message
+from repro.transport.codec2 import decode_message, encode_message
 
 op_ids = st.integers(min_value=0, max_value=2**31)
 writers = st.text(alphabet="abcdefw0123456789", min_size=0, max_size=8)
@@ -64,4 +64,6 @@ def test_namespaced_messages_roundtrip(register, message):
        st.text(alphabet="rws0123456789", min_size=1, max_size=10))
 def test_sealed_envelopes_roundtrip(payload, sender):
     auth = Authenticator(KeyChain.from_secret(b"prop-secret"))
-    assert auth.open(auth.seal(sender, payload)) == (sender, payload)
+    [frame] = auth.seal_frames(sender, [payload])
+    opened, payloads = auth.open_any(frame)
+    assert (opened, [bytes(p) for p in payloads]) == (sender, [payload])
