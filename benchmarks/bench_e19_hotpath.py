@@ -62,11 +62,11 @@ E18_REPORT = ROOT / "BENCH_pipeline.json"
 
 #: Profile bucket -> how to recognise it in the pstats table.  Python
 #: functions are charged *cumulative* time (they own their callees);
-#: C-level socket/poll primitives are charged *total* time.  The
-#: encode/decode hot paths run through the cached codec's ``__call__``
-#: methods (which own their full-codec fallbacks, so one cumulative
-#: entry covers hits and misses); they are matched by line number below
-#: since both share the name ``__call__``.
+#: C-level socket/poll primitives are charged *total* time.  Encode and
+#: decode run through the runtime's codec entry points, whose
+#: ``__call__`` methods are one-line calls of the plain codec, so one
+#: cumulative entry each covers the whole encode or decode; they are
+#: matched by line number below since both share the name ``__call__``.
 _CUMULATIVE_BUCKETS = {
     "encode": (),
     "seal": ("seal_frames",),

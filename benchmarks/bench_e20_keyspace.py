@@ -109,9 +109,7 @@ def e19_ceiling_reference() -> float:
     try:
         report = json.loads(HOTPATH_REPORT.read_text())
         for row in report["results"]:
-            # Reports from before the v1 codec was deleted also hold
-            # "wire": "v1" rows.
-            if row.get("wire", "v2") == "v2" and row["depth"] == DEPTH:
+            if row["depth"] == DEPTH:
                 return float(row["ops_per_sec"])
     except (OSError, ValueError, KeyError):
         pass

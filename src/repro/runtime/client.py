@@ -54,7 +54,7 @@ from repro.protocols import OpContext, get_spec, runtime_names
 from repro.runtime.dispatch import BatchedConnection, OpDispatcher, OpState
 from repro.transport.auth import Authenticator
 from repro.transport.codec import FrameAssembler
-from repro.transport.codec2 import CachedDecoder, CachedEncoder, peek_op_id_v2
+from repro.transport.codec2 import CachedDecoder, CachedEncoder
 from repro.types import ProcessId
 
 logger = logging.getLogger(__name__)
@@ -119,8 +119,6 @@ class AsyncRegisterClient:
             )
         self.spec = spec
         self.client_id = client_id
-        # Query rounds repeat (only op_id varies); the cached encoder
-        # re-emits the memoized tail instead of re-walking the fields.
         self._encode = CachedEncoder()
         self.addresses = dict(addresses)
         self.servers: List[ProcessId] = sorted(self.addresses)
@@ -347,17 +345,16 @@ class AsyncRegisterClient:
         """Route verified frames to their owning ops until the link dies.
 
         Frames are batch-decoded: one read syscall may carry replies to
-        several operations, each routed by ``op_id`` through the
-        dispatcher.  Replies owned by no in-flight operation (late
-        answers and ``Throttled`` frames of finished ops) are dropped
-        and counted as ``replies_stale``.  Connection loss returns (it
-        never poisons any op's queue): the supervisor decides whether to
-        re-dial.
+        several operations.  Every payload is decoded in full, then
+        routed by ``op_id`` through the dispatcher.  Replies owned by no
+        in-flight operation (late answers and ``Throttled`` frames of
+        finished ops) are dropped and counted as ``replies_stale``;
+        surplus replies past an operation's quorum are skipped.
+        Connection loss returns (it never poisons any op's queue): the
+        supervisor decides whether to re-dial.
         """
         assembler = FrameAssembler()
         loop = asyncio.get_running_loop()
-        peek = peek_op_id_v2
-        lookup = self._dispatcher.lookup
         stale = self._counters["replies_stale"]
         decode = CachedDecoder()
         try:
@@ -385,20 +382,6 @@ class AsyncRegisterClient:
                             self.client_id, pid, sender)
                         continue
                     for payload in payloads:
-                        # Route by op_id before paying for the decode:
-                        # stale replies are dropped and surplus replies
-                        # past the quorum skipped without ever parsing
-                        # their payloads (a fifth of reply traffic on a
-                        # quiet 5-server cluster).
-                        state = None
-                        op_id = peek(payload)
-                        if op_id is not None:
-                            state = lookup(op_id)
-                            if state is None:
-                                stale.inc()
-                                continue
-                            if state.operation.done:
-                                continue  # surplus; already decided
                         try:
                             message = decode(payload)
                         except ProtocolError as exc:
@@ -407,8 +390,7 @@ class AsyncRegisterClient:
                                 "bad-frame", "client %s dropping bad payload "
                                 "from %s: %s", self.client_id, pid, exc)
                             continue
-                        if not self._dispatch_reply(sender, message, now,
-                                                    state):
+                        if not self._dispatch_reply(sender, message, now):
                             stale.inc()
         except ProtocolError as exc:
             # Oversized frame: treat the stream as poisoned and let the
@@ -515,21 +497,18 @@ class AsyncRegisterClient:
                 sender_conn.send(entry[1])
 
     def _dispatch_reply(self, sender: ProcessId, message: Any,
-                        now: float, state: Optional[OpState] = None) -> bool:
+                        now: float) -> bool:
         """Run one verified reply through its owning operation, inline.
 
         Called from the reply pump: the whole chunk's replies are
         processed in a single task step, and each waiting operation is
         woken exactly once -- when its ``done`` future resolves -- rather
-        than once per reply through a queue.  ``state`` carries the
-        owner when the pump already resolved it from the peeked op_id;
-        payloads the peek cannot read resolve here.  Returns ``False`` for
+        than once per reply through a queue.  Returns ``False`` for
         replies owned by no in-flight operation.
         """
+        state = self._dispatcher.lookup(getattr(message, "op_id", None))
         if state is None:
-            state = self._dispatcher.lookup(getattr(message, "op_id", None))
-            if state is None:
-                return False
+            return False
         operation = state.operation
         if operation.done:
             return True  # surplus reply past the quorum; already decided

